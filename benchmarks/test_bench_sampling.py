@@ -27,7 +27,7 @@ def test_bench_sampling_motivo(benchmark, spark, bench_tables):
 
 
 def test_bench_sampling_cc_baseline(benchmark, bench_tables):
-    s = local_sampler.LocalSampler(bench_tables, seed=75, cc_mode=True, use_alias=False)
+    s = local_sampler.LocalSampler(bench_tables, seed=75, cc_mode=True)
     hits = benchmark.pedantic(s.sample_graphlets, args=(N,), rounds=1, iterations=1)
     assert sum(hits.values()) == N
 

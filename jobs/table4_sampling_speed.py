@@ -43,13 +43,11 @@ def run(spark, quick: bool = True) -> pd.DataFrame:
     for name, k in (GRID_QUICK if quick else GRID_FULL):
         g = datasets.load(name)
         tables = buildup.build_tables(spark, g, k, seed=202)
-        motivo = local_sampler.LocalSampler(
-            tables, seed=1, use_alias=True, buffer_threshold=BUFFER_THRESHOLD
-        )
+        motivo = local_sampler.LocalSampler(tables, seed=1, buffer_threshold=BUFFER_THRESHOLD)
         t0 = time.monotonic()
         motivo.sample_graphlets(N_MOTIVO)
         motivo_rate = N_MOTIVO / (time.monotonic() - t0)
-        cc = local_sampler.LocalSampler(tables, seed=2, cc_mode=True, use_alias=False)
+        cc = local_sampler.LocalSampler(tables, seed=2, cc_mode=True)
         t0 = time.monotonic()
         cc.sample_graphlets(N_CC)
         cc_rate = N_CC / (time.monotonic() - t0)

@@ -14,8 +14,14 @@ fractional-set-cover strategy:
    colorful count since a ``sample(T_j)`` draw spans ``H_i`` with
    probability ``c_i^colorful · σ_ij / r_j``.
 
+Sampling runs on the driver: one ``LocalSampler`` serves every round,
+drawing from a per-shape alias urn built the first time that shape is
+used, and its neighbor buffer is shared across rounds (the expansion
+distribution does not depend on the urn). Only collecting the count
+tables launches Spark jobs; rounds launch none.
+
 Deviations from the pseudocode (documented in DESIGN.md §6): samples are
-taken in batches of ``batch_size`` per Spark job (the greedy rule is
+taken in batches of ``batch_size`` draws (the greedy rule is
 re-evaluated between batches instead of between single draws), weights
 are materialized lazily per *observed* graphlet from the round schedule
 (an unobserved graphlet's estimate is 0 regardless of its weight), and
@@ -29,9 +35,14 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
-from . import sampler, spanning as sp, treelet as tl
+from . import spanning as sp
 from .buildup import CountTables
 from .graphlet import NUM_GRAPHLETS
+from .local_sampler import LocalSampler
+
+#: Vertices of at least this degree get their expansion draws buffered
+#: (§3.2; scaled down from the paper's 1e4 to the analogs' hub degrees).
+BUFFER_THRESHOLD = 100
 
 
 @dataclass
@@ -67,12 +78,14 @@ def ags(
     """Run batched AGS against the given count tables.
 
     ``cbar=1000`` is the paper's experimental setting ("which seems
-    sufficient to give good accuracies on most graphlets").
+    sufficient to give good accuracies on most graphlets"). ``spark``
+    is unused: the tables carry their session, and rounds sample on the
+    driver.
     """
     k = tables.k
+    # raises ValueError("empty urn: ...") if there is no colorful k-treelet
+    urns = LocalSampler(tables, seed=seed, buffer_threshold=BUFFER_THRESHOLD)
     r = {j: c for j, c in tables.shape_totals().items() if c > 0}
-    if not r:
-        raise ValueError("empty urn: no colorful k-treelets")
 
     hits: dict[int, int] = {}
     schedule: list[tuple[int, int]] = []
@@ -82,7 +95,6 @@ def ags(
     # which is what naive sampling would be dominated by anyway.
     current = max(r, key=r.get)
     samples_used = 0
-    round_no = 0
 
     def weight(gcode: int) -> float:
         prof = sp.spanning_profile(gcode, k)
@@ -90,14 +102,11 @@ def ags(
 
     while samples_used < max_samples:
         n = min(batch_size, max_samples - samples_used)
-        batch = sampler.sample_graphlets(
-            spark, tables, n, seed=seed + 7919 * round_no, restrict_shapes={current}
-        )
+        batch = urns.sample_graphlets(n, shape=current)
         schedule.append((current, n))
         used_shapes.add(current)
         samples_used += n
-        round_no += 1
-        for g, x in batch.hits.items():
+        for g, x in batch.items():
             hits[g] = hits.get(g, 0) + x
         covered = {g for g, x in hits.items() if x >= cbar}
 

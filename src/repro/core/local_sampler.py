@@ -1,10 +1,10 @@
-"""CC-style per-sample sampler (paper §2.2 + §3.2's neighbor buffering).
+"""Driver-side per-sample sampler (paper §2.2, §3.2 buffering, §4 urns).
 
 This is the faithful *sequential* sampling procedure: draw a root
 ``(v, T_C)``, then recursively unfold, sweeping the whole neighbor list
 of ``v`` at every expansion to weight the candidates — the exact code
 path whose cost explodes on outlier hubs (BerkStan/Orkut, §3.2). It
-exists for two purposes:
+exists for three purposes:
 
 - the **CC sampler baseline** of the sampling-speed table (§5.1):
   ``cc_mode=True`` stores the count tables the way CC does — hash maps
@@ -17,7 +17,14 @@ exists for two purposes:
 - measuring **neighbor buffering** (§3.2): with ``buffer_threshold``
   set, a vertex with degree >= threshold gets 100 candidate draws per
   sweep, the other 99 cached for future requests — same distribution
-  (i.i.d. draws), ~1% of the sweeps on hubs.
+  (i.i.d. draws), ~1% of the sweeps on hubs;
+- AGS's ``sample(T)`` (§4): one root urn per unrooted k-treelet shape,
+  built lazily and kept for the sampler's lifetime. Only the root draw
+  depends on the urn — the expansion distribution of ``(v, t, c)`` does
+  not — so one neighbor buffer serves every urn.
+
+Roots are drawn with the alias method in Motivo mode and by binary
+search on the cumulative weights in CC mode.
 
 Tables are collected to driver dictionaries, which is exactly CC's
 in-memory regime and is feasible at our graph scale.
@@ -46,11 +53,19 @@ class LocalSampleStats:
 
 
 @dataclass
+class _Urn:
+    """Root rows ``(v, t)`` of one urn, drawn ∝ their colorful counts."""
+
+    rows: list[tuple[int, int]]
+    alias: AliasSampler | None  #: Motivo mode
+    cum: np.ndarray | None  #: CC mode: cumulative weights
+
+
+@dataclass
 class LocalSampler:
     """Driver-side sampler over collected count tables."""
 
     tables: CountTables
-    use_alias: bool = True
     buffer_threshold: int | None = None
     cc_mode: bool = False
     seed: int = 0
@@ -61,12 +76,14 @@ class LocalSampler:
         self._rng = np.random.default_rng(self.seed)
         self._adj = self.tables.graph.adj
         root_pdf = self.tables.root_pdf()
-        self._root_rows = list(
-            zip(root_pdf["v"].astype(int), root_pdf["t"].astype(int), root_pdf["cnt"])
-        )
-        w = root_pdf["cnt"].to_numpy(dtype=np.float64)
-        self._root_alias = AliasSampler(w) if self.use_alias else None
-        self._root_cum = np.cumsum(w)
+        self._root_v = root_pdf["v"].to_numpy(dtype=np.int64)
+        self._root_t = root_pdf["t"].to_numpy(dtype=np.int64)
+        self._root_w = root_pdf["cnt"].to_numpy(dtype=np.float64)
+        if not self._root_w.sum() > 0:
+            raise ValueError("empty urn: the tables hold no colorful k-treelet")
+        um = tl.unrooted_map(k)
+        self._root_shape = np.array([um[int(t)] for t in self._root_t], dtype=np.int64)
+        self._urns: dict[int | None, _Urn] = {}
         # (v, t, c) -> count, and (v, t) -> [(c, count)] for sweep splits
         self._cnt: dict[tuple[int, int, int], float] = {}
         self._by_vt: dict[tuple[int, int], list[tuple[int, float]]] = {}
@@ -96,15 +113,33 @@ class LocalSampler:
             }
             self._parse_inst = _bl.str_to_enc
 
-    def _draw_root(self) -> tuple[int, int]:
-        if self._root_alias is not None:
-            i = int(self._root_alias.draw(self._rng, 1)[0])
+    def _urn(self, shape: int | None) -> _Urn:
+        """The root urn of unrooted k-treelet ``shape`` (every shape if
+        None), built on first use."""
+        urn = self._urns.get(shape)
+        if urn is not None:
+            return urn
+        keep = slice(None) if shape is None else self._root_shape == shape
+        w = self._root_w[keep]
+        if not w.sum() > 0:
+            raise ValueError(f"empty urn: no colorful copies of treelet shape {shape}")
+        rows = list(zip(self._root_v[keep].tolist(), self._root_t[keep].tolist()))
+        if self.cc_mode:
+            urn = _Urn(rows, None, np.cumsum(w))
+        else:
+            urn = _Urn(rows, AliasSampler(w), None)
+        self._urns[shape] = urn
+        return urn
+
+    def _draw_root(self, shape: int | None = None) -> tuple[int, int]:
+        urn = self._urn(shape)
+        if urn.alias is not None:
+            i = int(urn.alias.draw(self._rng, 1)[0])
         else:
             # CC-style: binary search on the cumulative weights
-            x = self._rng.random() * self._root_cum[-1]
-            i = int(np.searchsorted(self._root_cum, x))
-        v, t, _ = self._root_rows[i]
-        return v, t
+            x = self._rng.random() * urn.cum[-1]
+            i = int(np.searchsorted(urn.cum, x))
+        return urn.rows[i]
 
     def _expand(self, v: int, t: int, c: int) -> tuple[int, int]:
         """Choose (u, C') ∝ c(T'_C', v)·c(T''_{C∖C'}, u); returns the
@@ -158,11 +193,16 @@ class LocalSampler:
             self._buffer[key] = [cands[int(i)] for i in idxs[1:]]
         return cands[int(idxs[0])]
 
-    def sample_one(self) -> tuple[int, tuple[int, ...]]:
-        """Draw one colorful k-treelet copy; returns (root shape, nodes)."""
+    def sample_one(
+        self, shape: int | None = None
+    ) -> tuple[int, tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Draw one colorful k-treelet copy u.a.r. among the copies of
+        unrooted ``shape`` (among all copies if None); returns (root
+        shape, sorted nodes, tree edges)."""
         k = self.tables.k
-        v0, t0 = self._draw_root()
+        v0, t0 = self._draw_root(shape)
         nodes: list[int] = []
+        edges: list[tuple[int, int]] = []
         stack = [(v0, t0, (1 << k) - 1)]
         while stack:
             v, t, c = stack.pop()
@@ -170,19 +210,21 @@ class LocalSampler:
                 nodes.append(v)
                 continue
             u, lcol = self._expand(v, t, c)
+            edges.append((v, u))
             tp, ts = self._decomp[t]
             stack.append((v, tp, lcol))
             stack.append((u, ts, c ^ lcol))
-        return t0, tuple(sorted(nodes))
+        return t0, tuple(sorted(nodes)), tuple(edges)
 
-    def sample_graphlets(self, n_samples: int) -> dict[int, int]:
-        """Per-class hits for ``n_samples`` draws (driver-side classify)."""
+    def sample_graphlets(self, n_samples: int, shape: int | None = None) -> dict[int, int]:
+        """Per-class hits for ``n_samples`` draws from the urn of
+        ``shape`` (driver-side classify)."""
         k = self.tables.k
         adj = self._adj
         hits: dict[int, int] = {}
         t0 = time.monotonic()
         for _ in range(n_samples):
-            _, nodes = self.sample_one()
+            _, nodes, _ = self.sample_one(shape)
             code = gl.canonical(induced_code(adj, list(nodes)), k)
             hits[code] = hits.get(code, 0) + 1
         self.stats.seconds += time.monotonic() - t0

@@ -106,6 +106,33 @@ def test_ags_on_flat_graph_still_correct(spark):
             assert abs(est.err_h(res.estimates.get(g_, 0.0), c)) < 0.5
 
 
+def test_ags_on_graph_without_colorful_treelets_raises(spark):
+    """A path on k-1 nodes leaves every urn empty."""
+    tables = buildup.build_tables(spark, gen.path_graph(3), 4, seed=53)
+    with pytest.raises(ValueError, match="empty urn"):
+        ags.ags(spark, tables, cbar=10, batch_size=10, max_samples=20, seed=54)
+
+
+def test_ags_rounds_launch_no_spark_jobs(spark, star_tables):
+    """Only collecting the tables launches Spark jobs: tripling the
+    number of rounds leaves the job count unchanged."""
+    sc = spark.sparkContext
+    jobs = {}
+    for rounds in (2, 6):
+        group = f"ags-rounds-{rounds}"
+        sc.setJobGroup(group, group)
+        try:
+            res = ags.ags(
+                spark, star_tables, cbar=10**9, batch_size=200, max_samples=200 * rounds, seed=55
+            )
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert len(res.schedule) == rounds
+        jobs[rounds] = len(sc.statusTracker().getJobIdsForGroup(group))
+    assert jobs[2] > 0
+    assert jobs[6] == jobs[2]
+
+
 def test_covering_threshold_formula():
     # c̄ = ceil(4/eps^2 ln(2s/delta)) — spot-check k=5 (s=21)
     assert ags.covering_threshold(1.0, 2 * 21 / math.e, 5) == 4
