@@ -37,7 +37,7 @@ from pyspark.storagelevel import StorageLevel
 
 from ..graphs.generators import Graph
 from . import coloring, treelet as tl
-from .buildup import BuildStats
+from .buildup import BuildStats, core_sized_shuffles
 
 INT64_MAX = (1 << 63) - 1
 
@@ -93,60 +93,65 @@ def build_tables_cc(
     colors = coloring.assign_colors(graph.n, k, seed=seed)
     stats = BuildStats()
     edges = graph.edges_df(spark).persist()
-    edges.count()
-
     check_and_merge = F.udf(_check_and_merge, StringType())
     beta_udf = F.udf(lambda s: tl.beta(str_to_enc(s)), "int")
-
-    t0 = time.monotonic()
-    lvl1 = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "v": np.arange(graph.n),
-                "t": "",
-                "c": (1 << colors).astype(np.int64),
-                "cnt": np.int64(1),
-            }
-        )
-    ).persist(StorageLevel.MEMORY_ONLY)
-    levels = {1: lvl1}
-    stats.rows_per_level[1] = lvl1.count()
-    stats.seconds_per_level[1] = time.monotonic() - t0
-
-    # sizes of treelet instances, to pair levels (j, h-j); the string
-    # length encodes the size: 2*(size-1) parentheses.
-    for h in range(2, k + 1):
-        t0 = time.monotonic()
-        parts = []
-        for size_r in range(1, h):
-            size_l = h - size_r
-            left = levels[size_l].alias("l")
-            right = levels[size_r].alias("r")
-            e = edges.alias("e")
-            merged = (
-                left.join(e, F.col("l.v") == F.col("e.src"))
-                .join(right, F.col("e.dst") == F.col("r.v"))
-                .where(F.col("l.c").bitwiseAND(F.col("r.c")) == 0)
-                # the expensive part: per-pair recursive check-and-merge
-                .withColumn("tm", check_and_merge(F.col("l.t"), F.col("r.t")))
-                .where(F.col("tm").isNotNull())
-                .groupBy(
-                    F.col("l.v").alias("v"),
-                    F.col("tm").alias("t"),
-                    F.col("l.c").bitwiseOR(F.col("r.c")).alias("c"),
+    levels: dict[int, DataFrame] = {}
+    try:
+        # the same shuffle width as Motivo's build, so the Motivo/CC
+        # ratio compares the data structures, not a plan setting
+        with core_sized_shuffles(spark):
+            edges.count()
+            t0 = time.monotonic()
+            lvl1 = spark.createDataFrame(
+                pd.DataFrame(
+                    {
+                        "v": np.arange(graph.n),
+                        "t": "",
+                        "c": (1 << colors).astype(np.int64),
+                        "cnt": np.int64(1),
+                    }
                 )
-                .agg(F.sum(F.col("l.cnt") * F.col("r.cnt")).alias("pairsum"))
-            )
-            parts.append(merged)
-        lvl = parts[0]
-        for p in parts[1:]:
-            lvl = lvl.unionByName(p)
-        lvl = lvl.select(
-            "v", "t", "c", (F.col("pairsum") / beta_udf(F.col("t"))).cast("long").alias("cnt")
-        ).persist(StorageLevel.MEMORY_ONLY)
-        levels[h] = lvl
-        stats.rows_per_level[h] = lvl.count()
-        stats.seconds_per_level[h] = time.monotonic() - t0
+            ).persist(StorageLevel.MEMORY_ONLY)
+            levels[1] = lvl1
+            stats.rows_per_level[1] = lvl1.count()
+            stats.seconds_per_level[1] = time.monotonic() - t0
+
+            # sizes of treelet instances, to pair levels (j, h-j); the string
+            # length encodes the size: 2*(size-1) parentheses.
+            for h in range(2, k + 1):
+                t0 = time.monotonic()
+                parts = []
+                for size_r in range(1, h):
+                    size_l = h - size_r
+                    left = levels[size_l].alias("l")
+                    right = levels[size_r].alias("r")
+                    e = edges.alias("e")
+                    merged = (
+                        left.join(e, F.col("l.v") == F.col("e.src"))
+                        .join(right, F.col("e.dst") == F.col("r.v"))
+                        .where(F.col("l.c").bitwiseAND(F.col("r.c")) == 0)
+                        # the expensive part: per-pair recursive check-and-merge
+                        .withColumn("tm", check_and_merge(F.col("l.t"), F.col("r.t")))
+                        .where(F.col("tm").isNotNull())
+                        .groupBy(
+                            F.col("l.v").alias("v"),
+                            F.col("tm").alias("t"),
+                            F.col("l.c").bitwiseOR(F.col("r.c")).alias("c"),
+                        )
+                        .agg(F.sum(F.col("l.cnt") * F.col("r.cnt")).alias("pairsum"))
+                    )
+                    parts.append(merged)
+                lvl = parts[0]
+                for p in parts[1:]:
+                    lvl = lvl.unionByName(p)
+                lvl = lvl.select(
+                    "v", "t", "c", (F.col("pairsum") / beta_udf(F.col("t"))).cast("long").alias("cnt")
+                ).persist(StorageLevel.MEMORY_ONLY)
+                levels[h] = lvl
+                stats.rows_per_level[h] = lvl.count()
+                stats.seconds_per_level[h] = time.monotonic() - t0
+    finally:
+        edges.unpersist()
 
     return levels, colors, stats
 

@@ -2,17 +2,25 @@
 
 The treelet count table ``c(T_C, v)`` is computed level by level with
 Eq. 1: a size-``h`` colored rooted treelet splits uniquely into its
-first root-child subtree ``T''`` (size ``j``) and the rest ``T'``
-(size ``h-j``), so
+first root-child subtree ``T''`` and the rest ``T'``, so
 
-    level_h = Σ_j  level_{h-j} ⋈ edges ⋈ level_j ⋈ merge-table(h-j, j)
+    level_h = (L ⋈ merge-table_h) ⋈ edges ⋈ L,   L = level_1 ∪ … ∪ level_{h-1}
 
 with color-set disjointness as a bitwise filter and a final division by
 β_T (each treelet copy is produced once per root-child subtree
-isomorphic to T''). The merge table (≤ 115 rows for k ≤ 8) is broadcast
-— this is the succinct-treelet payoff: CC's per-pair recursive
-check-and-merge becomes a native hash-join lookup plus integer bit-ops,
-entirely inside Catalyst/Tungsten, with no per-row Python.
+isomorphic to T''). Treelet encodings are size-unique and every ``T``
+decomposes uniquely, so :func:`level_step` runs one join query per
+level over the union of the lower levels — the broadcast merge table
+(≤ 115 rows for k ≤ 8) picks the (T', T'') pairs of every size split at
+once, with no per-size branch or union of aggregates. This is the
+succinct-treelet payoff: CC's per-pair recursive check-and-merge
+becomes a native hash-join lookup plus integer bit-ops, entirely inside
+Catalyst/Tungsten, with no per-row Python.
+
+While a build runs, its shuffles are as wide as the cores
+(:func:`core_sized_shuffles`): a level holds at most tens of thousands
+of rows here, and at a wider setting every map task writes one shuffle
+partition per reduce slot, which AQE's coalescing cannot take back.
 
 Motivo specifics reproduced here:
 
@@ -28,8 +36,11 @@ Motivo specifics reproduced here:
 """
 from __future__ import annotations
 
+import functools
 import os
 import time
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +94,7 @@ class CountTables:
     lam: float | None
     seed: int
     stats: BuildStats
+    _root_pdf: pd.DataFrame | None = field(default=None, init=False, repr=False)
 
     @property
     def p_colorful(self) -> float:
@@ -92,10 +104,13 @@ class CountTables:
         """Final-level table collected to the driver for root sampling:
         columns v, t, cnt (python int). Small: one row per (color-0
         vertex, k-treelet shape) — the color set is always the full mask.
+        Collected once per tables object; each call returns a copy.
         """
-        pdf = self.levels[self.k].select("v", "t", "cnt").toPandas()
-        pdf["cnt"] = pdf["cnt"].map(int)
-        return pdf
+        if self._root_pdf is None:
+            pdf = self.levels[self.k].select("v", "t", "cnt").toPandas()
+            pdf["cnt"] = pdf["cnt"].map(int)
+            self._root_pdf = pdf
+        return self._root_pdf.copy()
 
     def total_treelets(self) -> int:
         """t of §2.2: total number of colorful k-treelet copies in G."""
@@ -114,6 +129,86 @@ class CountTables:
         return totals
 
 
+@contextmanager
+def core_sized_shuffles(spark: SparkSession) -> Iterator[None]:
+    """Run the block with ``spark.sql.shuffle.partitions`` lowered to
+    ``min(session value, defaultParallelism)``; the session's value is
+    restored on exit, also when the block raises.
+
+    AQE coalesces the reduce side of a shuffle, but every map task still
+    writes one partition per ``spark.sql.shuffle.partitions``. This is a
+    session setting and not ``repartition(n, …)``: a join that needs a
+    hash distribution re-plans a user repartition at the session's width.
+    """
+    key = "spark.sql.shuffle.partitions"
+    before = spark.conf.get(key)
+    spark.conf.set(key, str(min(int(before), spark.sparkContext.defaultParallelism)))
+    try:
+        yield
+    finally:
+        spark.conf.set(key, before)
+
+
+def merge_frame(spark: SparkSession, k: int) -> DataFrame:
+    """The merge table of :func:`treelet.merge_table` as a local
+    DataFrame: int columns ``h`` (= |T'| + |T''|), ``tl``, ``tr``,
+    ``tm``, ``beta``. Built once per build; :func:`level_step` selects
+    its level's rows."""
+    pdf = pd.DataFrame(
+        [(size_l + size_r, *row) for size_l, size_r, *row in tl.merge_table(k)],
+        columns=["h", "tl", "tr", "tm", "beta"],
+    )
+    return spark.createDataFrame(pdf.astype("int32"))
+
+
+def level_step(
+    lower_levels: Mapping[int, DataFrame],
+    edges: DataFrame,
+    merges: DataFrame,
+    h: int,
+    *,
+    roots: DataFrame | None = None,
+) -> DataFrame:
+    """Eq. 1 for level ``h`` as one join query (unmaterialized).
+
+    ``lower_levels[j]`` (j = 1..h-1) are count tables (v, t, c, cnt);
+    ``edges`` is the symmetric (src, dst) edge table; ``merges`` is
+    :func:`merge_frame`. With ``roots`` (column v) set, only those
+    vertices root a level-``h`` treelet (0-rooting).
+    """
+    below = functools.reduce(DataFrame.unionByName, (lower_levels[j] for j in range(1, h)))
+    pairs = F.broadcast(merges.where(F.col("h") == h).drop("h"))
+    left = below
+    if roots is not None:
+        left = left.join(F.broadcast(roots), on="v", how="semi")
+    # T'' candidates: only rows whose shape is some merge's right side
+    right = below.join(pairs, below["t"] == pairs["tr"], how="semi")
+    pairsums = (
+        left.alias("l")
+        .join(pairs, F.col("l.t") == F.col("tl"))
+        .join(edges.alias("e"), F.col("l.v") == F.col("e.src"))
+        .join(
+            right.alias("r"),
+            (F.col("e.dst") == F.col("r.v")) & (F.col("r.t") == F.col("tr")),
+        )
+        .where(F.col("l.c").bitwiseAND(F.col("r.c")) == 0)
+        .groupBy(
+            F.col("l.v").alias("v"),
+            F.col("tm").alias("t"),
+            F.col("l.c").bitwiseOR(F.col("r.c")).alias("c"),
+        )
+        .agg(
+            F.sum(F.col("l.cnt") * F.col("r.cnt")).alias("pairsum"),
+            F.max("beta").alias("beta"),
+        )
+    )
+    # Each copy of T was produced once per root-child subtree
+    # isomorphic to T'' — divide by β_T (exact: pairsum ≡ 0 mod β).
+    return pairsums.select(
+        "v", "t", "c", (F.col("pairsum") / F.col("beta")).cast(COUNT_TYPE).alias("cnt")
+    )
+
+
 def build_tables(
     spark: SparkSession,
     graph: Graph,
@@ -128,79 +223,34 @@ def build_tables(
     colors = coloring.assign_colors(graph.n, k, seed=seed, lam=lam)
     stats = BuildStats()
     # The input graph lives in memory in both CC and Motivo (§3.3), so the
-    # edge view is always persisted regardless of the flushing mode.
+    # edge view is persisted for the build regardless of the flushing mode.
     edges = graph.edges_df(spark).persist()
-    edges.count()
-
-    # Level 1: the trivial treelet at every vertex, colored {c_v}.
-    lvl1_pdf = pd.DataFrame(
-        {"v": np.arange(graph.n), "t": np.int32(tl.SINGLETON), "c": (1 << colors).astype(np.int64)}
-    )
     levels: dict[int, DataFrame] = {}
-    t0 = time.monotonic()
-    lvl1 = spark.createDataFrame(lvl1_pdf).withColumn("cnt", F.lit(1).cast(COUNT_TYPE))
-    levels[1] = _materialize(spark, lvl1, 1, flush_dir, stats)
-    stats.seconds_per_level[1] = time.monotonic() - t0
-
-    merge_rows = [r for r in tl.merge_table(k)]
-    color0 = None
-    if zero_rooting:
-        color0 = spark.createDataFrame(
-            pd.DataFrame({"v": np.flatnonzero(colors == 0).astype(np.int64)})
-        )
-
-    for h in range(2, k + 1):
-        t0 = time.monotonic()
-        parts = []
-        # Group valid merges by (|T'|, |T''|) so each join batch unions
-        # exactly the shape pairs it can produce.
-        by_sizes: dict[tuple[int, int], list] = {}
-        for size_l, size_r, tl_, tr_, tm_, b in merge_rows:
-            if size_l + size_r == h:
-                by_sizes.setdefault((size_l, size_r), []).append((tl_, tr_, tm_, b))
-        for (size_l, size_r), rows in sorted(by_sizes.items()):
-            pairs = F.broadcast(
-                spark.createDataFrame(
-                    pd.DataFrame(rows, columns=["tl", "tr", "tm", "beta"]).astype(
-                        {"tl": "int32", "tr": "int32", "tm": "int32", "beta": "int32"}
-                    )
-                )
+    try:
+        with core_sized_shuffles(spark):
+            edges.count()
+            # Level 1: the trivial treelet at every vertex, colored {c_v}.
+            lvl1_pdf = pd.DataFrame(
+                {"v": np.arange(graph.n), "t": np.int32(tl.SINGLETON), "c": (1 << colors).astype(np.int64)}
             )
-            left = levels[size_l].alias("l")
-            if h == k and zero_rooting:
-                # 0-rooting: only count k-treelets rooted at color-0 nodes.
-                left = left.join(F.broadcast(color0), on="v", how="semi").alias("l")
-            right = levels[size_r].alias("r")
-            e = edges.alias("e")
-            joined = (
-                left.join(pairs, F.col("l.t") == F.col("tl"))
-                .join(e, F.col("l.v") == F.col("e.src"))
-                .join(
-                    right,
-                    (F.col("e.dst") == F.col("r.v")) & (F.col("r.t") == F.col("tr")),
+            t0 = time.monotonic()
+            lvl1 = spark.createDataFrame(lvl1_pdf).withColumn("cnt", F.lit(1).cast(COUNT_TYPE))
+            levels[1] = _materialize(spark, lvl1, 1, flush_dir, stats)
+            stats.seconds_per_level[1] = time.monotonic() - t0
+
+            merges = merge_frame(spark, k)
+            color0 = None
+            if zero_rooting:
+                color0 = spark.createDataFrame(
+                    pd.DataFrame({"v": np.flatnonzero(colors == 0).astype(np.int64)})
                 )
-                .where(F.col("l.c").bitwiseAND(F.col("r.c")) == 0)
-                .groupBy(
-                    F.col("l.v").alias("v"),
-                    F.col("tm").alias("t"),
-                    F.col("l.c").bitwiseOR(F.col("r.c")).alias("c"),
-                )
-                .agg(
-                    F.sum(F.col("l.cnt") * F.col("r.cnt")).alias("pairsum"),
-                    F.max("beta").alias("beta"),
-                )
-            )
-            parts.append(joined)
-        lvl = parts[0]
-        for p in parts[1:]:
-            lvl = lvl.unionByName(p)
-        # Each copy of T was produced once per root-child subtree
-        # isomorphic to T'' — divide by β_T (exact: pairsum ≡ 0 mod β).
-        lvl = lvl.select(
-            "v", "t", "c", (F.col("pairsum") / F.col("beta")).cast(COUNT_TYPE).alias("cnt")
-        )
-        levels[h] = _materialize(spark, lvl, h, flush_dir, stats)
-        stats.seconds_per_level[h] = time.monotonic() - t0
+            for h in range(2, k + 1):
+                t0 = time.monotonic()
+                lvl = level_step(levels, edges, merges, h, roots=color0 if h == k else None)
+                levels[h] = _materialize(spark, lvl, h, flush_dir, stats)
+                stats.seconds_per_level[h] = time.monotonic() - t0
+    finally:
+        edges.unpersist()
 
     return CountTables(
         spark=spark,
@@ -222,7 +272,8 @@ def _materialize(
     if flush_dir is not None:
         path = os.path.join(flush_dir, f"level_{h:02d}.parquet")
         df.write.mode("overwrite").parquet(path)
-        out = spark.read.parquet(path)
+        # the schema is known: passing it skips a footer-reading job
+        out = spark.read.schema(df.schema).parquet(path)
         stats.rows_per_level[h] = out.count()
         stats.bytes_per_level[h] = _dir_bytes(path)
         return out

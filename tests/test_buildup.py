@@ -5,12 +5,14 @@ per-vertex colorful rooted-treelet counts that exhaustive enumeration
 produces, for every (vertex, rooted shape, color set) triple.
 """
 import math
+from decimal import Decimal
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql.types import IntegerType, LongType, StructField, StructType
 
-from repro.core import buildup, coloring, treelet as tl
+from repro.core import baseline, buildup, coloring, treelet as tl
 from repro.exactcount import esu
 from repro.graphs import generators as gen
 from repro.oracle import assert_equivalent
@@ -119,6 +121,157 @@ def test_dp_level_matches_duckdb_oracle(spark, k):
         mergetab=merge_pdf,
         **{f"lvl{h}": level_pdfs[h] for h in range(1, k)},
     )
+
+
+LEVEL_SCHEMA = StructType(
+    [
+        StructField("v", LongType()),
+        StructField("t", IntegerType()),
+        StructField("c", LongType()),
+        StructField("cnt", buildup.COUNT_TYPE),
+    ]
+)
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_level_step_matches_duckdb_oracle(spark, rooted):
+    """level_step on hand-built lower levels whose counts lie far beyond
+    int64 equals the Eq. 1 join in DuckDB with exact HUGEINT counters.
+
+    The lower levels are brute-force counts with level j scaled by
+    S**j: Eq. 1 is bilinear, so level k comes out scaled by S**k and
+    every β division stays exact. Products reach ~10^28, below the
+    ~10^32 ceiling of the Decimal(38,6) quotient.
+    """
+    k, scale = 4, 10**6
+    g = gen.er_graph(14, 30, seed=21)
+    colors = coloring.assign_colors(g.n, k, seed=22)
+    brute = esu.brute_force_rooted_treelet_counts(g.adj, colors, k)
+    rows = {h: [] for h in range(1, k)}
+    for (v, t, c), cnt in brute.items():
+        h = tl.size(t)
+        if h < k and cnt:
+            rows[h].append((v, t, c, cnt * scale**h))
+    lower = {
+        h: spark.createDataFrame([(v, t, c, Decimal(n)) for v, t, c, n in r], LEVEL_SCHEMA)
+        for h, r in rows.items()
+    }
+    roots_pdf = pd.DataFrame({"v": np.flatnonzero(colors == 0).astype(np.int64)})
+    level = buildup.level_step(
+        lower,
+        g.edges_df(spark),
+        buildup.merge_frame(spark, k),
+        k,
+        roots=spark.createDataFrame(roots_pdf) if rooted else None,
+    )
+    level = level.select("v", "t", "c", level.cnt.cast("string").alias("cnt"))
+    assert max(int(r.cnt) for r in level.collect()) > 10**20 > baseline.INT64_MAX
+
+    merge_pdf = pd.DataFrame(
+        [r for r in tl.merge_table(k) if r[0] + r[1] == k],
+        columns=["size_l", "size_r", "tl", "tr", "tm", "beta"],
+    )
+    edges_pdf = pd.DataFrame({"src": np.r_[g.edge_array[:, 0], g.edge_array[:, 1]],
+                              "dst": np.r_[g.edge_array[:, 1], g.edge_array[:, 0]]})
+    root_filter = "AND l.v IN (SELECT v FROM roots)" if rooted else ""
+    union_sql = "\nUNION ALL\n".join(
+        f"""
+        SELECT l.v AS v, m.tm AS t, (l.c | r.c) AS c,
+               SUM(l.cnt * r.cnt) AS pairsum, MAX(m.beta) AS beta
+        FROM lvl{size_l} l
+        JOIN mergetab m ON l.t = m.tl AND m.size_l = {size_l} AND m.size_r = {size_r}
+        JOIN edges e ON l.v = e.src
+        JOIN lvl{size_r} r ON e.dst = r.v AND r.t = m.tr
+        WHERE (l.c & r.c) = 0 {root_filter}
+        GROUP BY l.v, m.tm, (l.c | r.c)
+        """
+        for size_l, size_r in sorted({(r.size_l, r.size_r) for r in merge_pdf.itertuples()})
+    )
+    lvl_ctes = ", ".join(
+        f"lvl{h} AS (SELECT v, t, c, CAST(cnt AS HUGEINT) AS cnt FROM lvl{h}_in)"
+        for h in range(1, k)
+    )
+    sql = f"""
+        WITH {lvl_ctes}
+        SELECT v, t, c, CAST(pairsum // beta AS VARCHAR) AS cnt FROM ({union_sql})
+    """
+    assert_equivalent(
+        level,
+        sql,
+        edges=edges_pdf,
+        mergetab=merge_pdf,
+        roots=roots_pdf,
+        **{
+            f"lvl{h}_in": pd.DataFrame(r, columns=["v", "t", "c", "cnt"]).astype({"cnt": str})
+            for h, r in rows.items()
+        },
+    )
+
+
+def _persistent_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
+def test_builds_restore_shuffle_partitions(spark, monkeypatch):
+    """Both build-ups size their shuffles to the cores while they run and
+    leave the session's shuffle width as they found it — also when a
+    level query raises."""
+    key = "spark.sql.shuffle.partitions"
+    before = spark.conf.get(key)
+    width = str(min(int(before), spark.sparkContext.defaultParallelism))
+    g = gen.er_graph(16, 30, seed=23)
+    seen = []
+    real_step = buildup.level_step
+
+    def recording_step(*args, **kwargs):
+        seen.append(spark.conf.get(key))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(buildup, "level_step", recording_step)
+    buildup.build_tables(spark, g, 3, seed=24)
+    assert seen == [width, width]
+    baseline.build_tables_cc(spark, g, 3, seed=24)
+    assert spark.conf.get(key) == before
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("level query failed")
+
+    monkeypatch.setattr(buildup, "level_step", failing)
+    with pytest.raises(RuntimeError, match="level query failed"):
+        buildup.build_tables(spark, g, 3, seed=24)
+    assert spark.conf.get(key) == before
+    # CC's levels h >= 3 union one join per size split
+    monkeypatch.setattr(type(spark.range(1)), "unionByName", failing)
+    with pytest.raises(RuntimeError, match="level query failed"):
+        baseline.build_tables_cc(spark, g, 3, seed=24)
+    assert spark.conf.get(key) == before
+
+
+def test_builds_release_their_edge_table(spark, tmp_path):
+    """The edge table is cached only while a build runs: a flushed build
+    leaves nothing cached, a CC build only its k in-memory levels."""
+    g = gen.er_graph(16, 30, seed=25)
+    before = _persistent_rdds(spark)
+    buildup.build_tables(spark, g, 3, seed=26, flush_dir=str(tmp_path / "tables"))
+    assert _persistent_rdds(spark) == before
+    levels, _, _ = baseline.build_tables_cc(spark, g, 3, seed=26)
+    assert _persistent_rdds(spark) == before + 3
+    for df in levels.values():
+        df.unpersist()
+
+
+def test_root_pdf_is_collected_once(spark):
+    """root_pdf() collects the k-level table on its first call only, and
+    hands every caller its own copy."""
+    g = gen.er_graph(30, 90, seed=27)
+    tables = buildup.build_tables(spark, g, 4, seed=28)
+    first = tables.root_pdf()
+    first["cnt"] = 0
+    tables.levels = {}  # a second collect would now fail
+    again = tables.root_pdf()
+    assert (again["cnt"] > 0).all()
+    assert tables.total_treelets() == int(again["cnt"].sum())
+    assert sum(tables.shape_totals().values()) == tables.total_treelets()
 
 
 def test_flushed_equals_inmemory(spark, tmp_path):

@@ -169,3 +169,14 @@ def test_rarest_found():
     hits = {1: 500, 2: 20, 3: 5}
     assert est.rarest_found(hits, truth, min_hits=10) == pytest.approx(90 / 1000)
     assert np.isnan(est.rarest_found({3: 2}, truth, min_hits=10))
+
+
+def test_draw_roots_empty_urn_raises(spark):
+    """A path has no stars: restricting the root draw to the star shape
+    leaves an empty urn, and draw_roots says so instead of drawing."""
+    k = 4
+    tables = buildup.build_tables(spark, gen.path_graph(200), k, seed=3)
+    star_u = tl.unroot(tl.star_rooted(k))
+    assert tables.shape_totals()[star_u] == 0 < tables.total_treelets()
+    with pytest.raises(ValueError, match="^empty urn"):
+        sampler.draw_roots(tables, 10, seed=1, restrict_shapes={star_u})
